@@ -53,11 +53,11 @@ namespace {
 unsigned g_threads = 1;
 unsigned g_position_threads = 1;
 
-/// Per-cell certificate sink: accumulates proof cost for the BENCH_JSON
-/// line and, when ADVOCAT_PROOF_DIR is set (the CI certification step),
-/// serializes every refutation of the sizing ladder so the standalone
-/// advocat-check binary can revalidate them. Thread-safe because parallel
-/// capacity probes share one cell's sink.
+/// Per-cell certificate sink, attached only when ADVOCAT_PROOF_DIR is set
+/// (the CI certification step): accumulates proof cost for the BENCH_JSON
+/// line and serializes every refutation of the sizing ladder so the
+/// standalone advocat-check binary can revalidate them. Thread-safe
+/// because parallel capacity probes share one cell's sink.
 class CellProofSink : public smt::ProofSink {
  public:
   explicit CellProofSink(std::string prefix) : prefix_(std::move(prefix)) {}
@@ -68,10 +68,8 @@ class CellProofSink : public smt::ProofSink {
     if (!cert.complete) ++incomplete_;
     bytes_ += cert.proof_bytes;
     ms_ += cert.proof_ms;
-    if (!prefix_.empty()) {
-      std::ofstream out(prefix_ + std::to_string(count_) + ".proof");
-      out << cert.text;
-    }
+    std::ofstream out(prefix_ + std::to_string(count_) + ".proof");
+    out << cert.text;
   }
 
   [[nodiscard]] std::size_t count() const { return count_; }
@@ -169,22 +167,26 @@ int main(int argc, char** argv) {
       util::parallel_for(
           cells.size(), g_position_threads, [&, proof_dir](std::size_t i) {
             const int dir = static_cast<int>(i);
+            // Certification runs only when ADVOCAT_PROOF_DIR asks for the
+            // certificates, so `seconds` is plain solve time otherwise.
             // Certificates are logged on the incremental run only: the
             // re-encode reference refutes the identical probes, and
             // doubling the proof volume would only slow the CI
             // certification step without adding coverage.
-            CellProofSink sink(
-                proof_dir == nullptr
-                    ? std::string{}
-                    : std::string(proof_dir) + "/fig4_" +
-                          smt::to_string(backend) + "_k" + std::to_string(k) +
-                          "_d" + std::to_string(dir) + "_");
-            cells[i].inc = size_run(k, dir, true, backend, &sink);
+            if (proof_dir == nullptr) {
+              cells[i].inc = size_run(k, dir, true, backend);
+            } else {
+              CellProofSink sink(std::string(proof_dir) + "/fig4_" +
+                                 smt::to_string(backend) + "_k" +
+                                 std::to_string(k) + "_d" +
+                                 std::to_string(dir) + "_");
+              cells[i].inc = size_run(k, dir, true, backend, &sink);
+              cells[i].proofs = sink.count();
+              cells[i].proofs_incomplete = sink.incomplete();
+              cells[i].proof_bytes = sink.bytes();
+              cells[i].proof_ms = sink.ms();
+            }
             cells[i].re = size_run(k, dir, false, backend);
-            cells[i].proofs = sink.count();
-            cells[i].proofs_incomplete = sink.incomplete();
-            cells[i].proof_bytes = sink.bytes();
-            cells[i].proof_ms = sink.ms();
           });
       for (int y = 0; y < k; ++y) {
         std::printf("  ");

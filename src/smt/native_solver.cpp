@@ -796,7 +796,7 @@ class NativeSolver final : public Solver {
   std::unique_ptr<ProofLog> primary_log_;
   std::vector<ProofRecord> trace_;
   std::vector<std::vector<Lit>> last_cubes_;
-  std::unordered_map<std::string, std::string> lemma_cache_;
+  native::LemmaCache lemma_cache_;
   bool unlogged_checks_ = false;
 
   unsigned threads_ = 1;

@@ -33,9 +33,15 @@ using util::Rational;
 struct Ineq {
   std::vector<std::pair<int, std::int64_t>> terms;
   BigInt bound;
-  std::string ref;  // proof reference: "p<i>" premise, "q<i>" the ≥-half
-                    // of an equality premise
+  std::size_t premise = 0;  // index of the premise literal it encodes
+  bool reversed = false;    // the ≥-half of an equality premise
 };
+
+// Proof reference of a premise row: "p<i>", or "q<i>" for the ≥-half of
+// an equality premise.
+std::string row_ref(const Ineq& r) {
+  return (r.reversed ? "q" : "p") + std::to_string(r.premise);
+}
 
 // One disequality premise (an equality atom asserted false).
 struct Diseq {
@@ -47,6 +53,8 @@ struct Diseq {
 struct VarBound {
   bool has = false;
   BigInt val;
+  int why = -1;  // Provenance event that set the bound; -1 when unrecorded
+                 // or set by a split
 };
 
 // Branch state: the premise rows are shared; the bounds are copied per
@@ -54,6 +62,56 @@ struct VarBound {
 // bound update, not a new row).
 struct CertState {
   std::vector<VarBound> lo, hi;
+};
+
+// Where the bounds tighten() derives come from, for trimming a lemma to
+// the premises its proof uses. Every bound tighten() sets is one event:
+// the premise row that set it and the events of the bounds that row read.
+// Split bounds are case hypotheses, not premises, and carry no event, so
+// walking back from the bounds and rows a closing step references reaches
+// exactly the premises the proof rests on.
+struct Provenance {
+  struct Event {
+    std::size_t premise;
+    std::size_t reads_begin;
+    std::size_t reads_end;
+  };
+  std::vector<Event> events;
+  std::vector<int> reads;  // event ids, sliced per Event
+  std::vector<char> seen;  // per event: already walked back
+  std::vector<char> used;  // per premise: the proof uses it
+
+  // Records that row `r` set the bound of its term `ti` from the current
+  // bounds of its other terms; returns the new event's id.
+  int record(const Ineq& r, std::size_t ti, const CertState& st) {
+    const std::size_t begin = reads.size();
+    for (std::size_t tj = 0; tj < r.terms.size(); ++tj) {
+      if (tj == ti) continue;
+      const auto [u, cu] = r.terms[tj];
+      const VarBound& b = cu > 0 ? st.lo[static_cast<std::size_t>(u)]
+                                 : st.hi[static_cast<std::size_t>(u)];
+      if (b.why >= 0) reads.push_back(b.why);
+    }
+    events.push_back({r.premise, begin, reads.size()});
+    return static_cast<int>(events.size() - 1);
+  }
+
+  // Marks every premise event `why` transitively rests on.
+  void use(int why) {
+    seen.resize(events.size());
+    std::vector<int> stack{why};
+    while (!stack.empty()) {
+      const int e = stack.back();
+      stack.pop_back();
+      if (e < 0 || seen[static_cast<std::size_t>(e)] != 0) continue;
+      seen[static_cast<std::size_t>(e)] = 1;
+      const Event& ev = events[static_cast<std::size_t>(e)];
+      used[ev.premise] = 1;
+      stack.insert(stack.end(),
+                   reads.begin() + static_cast<std::ptrdiff_t>(ev.reads_begin),
+                   reads.begin() + static_cast<std::ptrdiff_t>(ev.reads_end));
+    }
+  }
 };
 
 // floor(a/b) for b > 0 (BigInt division truncates toward zero).
@@ -67,8 +125,10 @@ constexpr int kTightenPasses = 64;
 // Interval tightening to fixpoint (or pass budget) with integer rounding.
 // Returns the crossed variable on contradiction, -1 otherwise. MUST stay
 // behaviorally identical to the checker's copy: stop at the first
-// crossing, rows in order, terms in order, full passes.
-int tighten(const std::vector<Ineq>& rows, CertState& st) {
+// crossing, rows in order, terms in order, full passes. `prov`, when
+// given, only observes: it records each bound set, never which.
+int tighten(const std::vector<Ineq>& rows, CertState& st,
+            Provenance* prov = nullptr) {
   for (int pass = 0; pass < kTightenPasses; ++pass) {
     bool changed = false;
     for (const Ineq& r : rows) {
@@ -98,6 +158,7 @@ int tighten(const std::vector<Ineq>& rows, CertState& st) {
             hb.has = true;
             hb.val = nb;
             changed = true;
+            if (prov != nullptr) hb.why = prov->record(r, ti, st);
           }
         } else {
           // c < 0: c·v ≤ avail ⇔ v ≥ avail/c; with cc = -c > 0 that is
@@ -108,6 +169,7 @@ int tighten(const std::vector<Ineq>& rows, CertState& st) {
             lb.has = true;
             lb.val = nb;
             changed = true;
+            if (prov != nullptr) lb.why = prov->record(r, ti, st);
           }
         }
         const VarBound& lb = st.lo[static_cast<std::size_t>(v)];
@@ -120,14 +182,22 @@ int tighten(const std::vector<Ineq>& rows, CertState& st) {
   return -1;
 }
 
-// Certifier context for one lemma.
+// Certifier context for one lemma. With `prov` set, every closing step
+// also marks the premises it uses in prov->used.
 struct Certifier {
   const std::vector<Ineq>& rows;
   const std::vector<Diseq>& diseqs;
   std::size_t num_vars;
+  Provenance* prov = nullptr;
   int steps_left = 20000;
 
   bool branch(CertState st, std::ostringstream& out, int depth);
+  void use(const VarBound& b) const {
+    if (prov != nullptr) prov->use(b.why);
+  }
+  void use(std::size_t premise) const {
+    if (prov != nullptr) prov->used[premise] = 1;
+  }
 };
 
 std::string rat_pair(const Rational& r) {
@@ -140,8 +210,10 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
   // 1. Integer interval tightening: a bound crossing is a contradiction
   // the checker re-derives, so the step only names the crossed variable's
   // two bounds.
-  const int crossed = tighten(rows, st);
+  const int crossed = tighten(rows, st, prov);
   if (crossed >= 0) {
+    use(st.lo[static_cast<std::size_t>(crossed)]);
+    use(st.hi[static_cast<std::size_t>(crossed)]);
     out << "f 2 lo" << crossed << " 1 1 hi" << crossed << " 1 1\n";
     return true;
   }
@@ -161,15 +233,26 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
       sum += BigInt(c) * lb.val;
     }
     if (fixed && sum == BigInt(d.bound)) {
+      use(d.premise);
+      for (const auto& [v, c] : d.terms) {
+        use(st.lo[static_cast<std::size_t>(v)]);
+        use(st.hi[static_cast<std::size_t>(v)]);
+      }
       out << "dq " << d.premise << "\n";
       return true;
     }
   }
 
   // 3. Exact rational simplex over the rows plus the current bounds; an
-  // infeasibility yields the Farkas combination verbatim.
+  // infeasibility yields the Farkas combination verbatim. Each simplex tag
+  // is either a current bound or a premise row.
+  struct Tag {
+    std::string ref;
+    const VarBound* bound = nullptr;
+    const Ineq* row = nullptr;
+  };
   linalg::Simplex spx;
-  std::vector<std::string> tag_names;
+  std::vector<Tag> tags;
   bool infeasible = false;
   for (std::size_t v = 0; v < num_vars; ++v) {
     const VarBound& lb = st.lo[v];
@@ -177,16 +260,16 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
     if (!lb.has && !hb.has) continue;
     const int x = spx.var(static_cast<std::int32_t>(v));
     if (lb.has) {
-      tag_names.push_back("lo" + std::to_string(v));
+      tags.push_back({"lo" + std::to_string(v), &lb});
       if (!spx.assert_lower(x, Rational(lb.val),
-                            static_cast<int>(tag_names.size() - 1))) {
+                            static_cast<int>(tags.size() - 1))) {
         infeasible = true;
       }
     }
     if (!infeasible && hb.has) {
-      tag_names.push_back("hi" + std::to_string(v));
+      tags.push_back({"hi" + std::to_string(v), &hb});
       if (!spx.assert_upper(x, Rational(hb.val),
-                            static_cast<int>(tag_names.size() - 1))) {
+                            static_cast<int>(tags.size() - 1))) {
         infeasible = true;
       }
     }
@@ -196,7 +279,8 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
     for (const Ineq& r : rows) {
       if (r.terms.empty()) {
         if (r.bound.is_negative()) {
-          out << "f 1 " << r.ref << " 1 1\n";  // 0 ≤ negative: immediate
+          use(r.premise);
+          out << "f 1 " << row_ref(r) << " 1 1\n";  // 0 ≤ negative
           return true;
         }
         continue;
@@ -207,9 +291,9 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
         terms.emplace_back(static_cast<std::int32_t>(v), c);
       }
       const int s = spx.add_slack(terms);
-      tag_names.push_back(r.ref);
+      tags.push_back({row_ref(r), nullptr, &r});
       if (!spx.assert_upper(s, Rational(r.bound),
-                            static_cast<int>(tag_names.size() - 1))) {
+                            static_cast<int>(tags.size() - 1))) {
         infeasible = true;
         break;
       }
@@ -222,8 +306,10 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
     int n = 0;
     for (const linalg::FarkasTerm& t : fk) {
       if (t.mult.is_zero() || t.mult.is_negative()) continue;
-      f << " " << tag_names[static_cast<std::size_t>(t.tag)] << " "
-        << rat_pair(t.mult);
+      const Tag& tag = tags[static_cast<std::size_t>(t.tag)];
+      if (tag.bound != nullptr) use(*tag.bound);
+      if (tag.row != nullptr) use(tag.row->premise);
+      f << " " << tag.ref << " " << rat_pair(t.mult);
       ++n;
     }
     out << "f " << n << f.str() << "\n";
@@ -268,17 +354,23 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
     if (best < 0) return false;  // everything fixed yet feasible: the
                                  // lemma is not certifiable this way
   }
+  // A split is a tautology, but finding it again on trimmed premises
+  // needs the bounds that made this variable the choice.
+  use(st.lo[static_cast<std::size_t>(best)]);
+  use(st.hi[static_cast<std::size_t>(best)]);
   out << "s " << best << " " << cut.to_string() << "\n";
   CertState left = st;
   VarBound& lhi = left.hi[static_cast<std::size_t>(best)];
   lhi.has = true;
   lhi.val = cut;
+  lhi.why = -1;
   if (!branch(std::move(left), out, depth + 1)) return false;
   out << "alt\n";
   CertState right = std::move(st);
   VarBound& rlo = right.lo[static_cast<std::size_t>(best)];
   rlo.has = true;
   rlo.val = cut + BigInt(1);
+  rlo.why = -1;
   if (!branch(std::move(right), out, depth + 1)) return false;
   out << "join\n";
   return true;
@@ -288,35 +380,36 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
 // clause literal plus each ctx literal, mapped through the atom table.
 // Returns false when some literal is not a theory atom (cannot occur for
 // the logged lemma sources; defensive).
-bool lemma_premises(const SharedProblem& sh, const ProofRecord& rec,
-                    std::vector<Ineq>& rows, std::vector<Diseq>& diseqs) {
-  const std::size_t n = rec.lits.size();
-  for (std::size_t i = 0; i < n + rec.ctx.size(); ++i) {
-    const Lit pl = i < n ? neg(rec.lits[i]) : rec.ctx[i - n];
+bool lemma_premises(const SharedProblem& sh, const std::vector<Lit>& lits,
+                    const std::vector<Lit>& ctx, std::vector<Ineq>& rows,
+                    std::vector<Diseq>& diseqs) {
+  const std::size_t n = lits.size();
+  for (std::size_t i = 0; i < n + ctx.size(); ++i) {
+    const Lit pl = i < n ? neg(lits[i]) : ctx[i - n];
     const int v = var_of(pl);
     if (v < 0 || v >= sh.num_bvars) return false;
     const int ai = sh.atom_of_var[static_cast<std::size_t>(v)];
     if (ai < 0) return false;
     const Atom& a = sh.atoms[static_cast<std::size_t>(ai)];
-    const std::string idx = std::to_string(i);
     if (!is_neg(pl)) {  // atom asserted true
       Ineq le;
       le.terms = a.terms;
       le.bound = BigInt(a.bound);
-      le.ref = "p" + idx;
+      le.premise = i;
       rows.push_back(std::move(le));
       if (a.is_eq) {
         Ineq ge;
         for (const auto& [u, c] : a.terms) ge.terms.emplace_back(u, -c);
         ge.bound = BigInt(-a.bound);
-        ge.ref = "q" + idx;
+        ge.premise = i;
+        ge.reversed = true;
         rows.push_back(std::move(ge));
       }
     } else if (!a.is_eq) {  // Σ ≤ b false  ⇔  Σ ≥ b+1 (integers)
       Ineq gt;
       for (const auto& [u, c] : a.terms) gt.terms.emplace_back(u, -c);
       gt.bound = BigInt(-a.bound) - BigInt(1);
-      gt.ref = "p" + idx;
+      gt.premise = i;
       rows.push_back(std::move(gt));
     } else {  // equality asserted false: a disequality
       Diseq d;
@@ -329,36 +422,60 @@ bool lemma_premises(const SharedProblem& sh, const ProofRecord& rec,
   return true;
 }
 
-// Certifies one lemma; returns the proof body ("" on failure).
-std::string certify_lemma(const SharedProblem& sh, const ProofRecord& rec) {
+// Proves the premise system of clause `lits` under `ctx` infeasible;
+// returns the proof body ("" on failure). With `prov`, also marks in
+// prov->used (indexed like the premises) the premises the body uses.
+std::string certify(const SharedProblem& sh, const std::vector<Lit>& lits,
+                    const std::vector<Lit>& ctx, Provenance* prov) {
   std::vector<Ineq> rows;
   std::vector<Diseq> diseqs;
-  if (!lemma_premises(sh, rec, rows, diseqs)) return "";
+  if (!lemma_premises(sh, lits, ctx, rows, diseqs)) return "";
+  if (prov != nullptr) prov->used.assign(lits.size() + ctx.size(), 0);
   CertState st;
   st.lo.resize(sh.int_names.size());
   st.hi.resize(sh.int_names.size());
-  Certifier cert{rows, diseqs, sh.int_names.size()};
+  Certifier cert{rows, diseqs, sh.int_names.size(), prov};
   std::ostringstream body;
   if (!cert.branch(std::move(st), body, 0)) return "";
   return body.str();
 }
 
-std::string lemma_key(const ProofRecord& rec) {
-  std::vector<Lit> sorted = rec.lits;
-  std::sort(sorted.begin(), sorted.end());
-  std::string key;
-  for (const Lit l : sorted) {
-    key += std::to_string(l);
-    key += ',';
+// Certifies one logged lemma, trimmed to the premises its proof uses: the
+// first proof records where its bounds come from, and the lemma is then
+// certified again on the used premises alone — tightening over fewer rows
+// may cross at a different variable, so the body is re-derived, not
+// renumbered. A clause with fewer literals is a stronger clause, so every
+// later RUP step still checks. Falls back to the full lemma if the trimmed
+// one does not certify.
+CertifiedLemma certify_lemma(const SharedProblem& sh, const ProofRecord& rec) {
+  CertifiedLemma full{rec.lits, rec.ctx, ""};
+  Provenance prov;
+  full.body = certify(sh, rec.lits, rec.ctx, &prov);
+  if (full.body.empty()) return full;
+  CertifiedLemma cone;
+  const std::size_t n = rec.lits.size();
+  for (std::size_t i = 0; i < prov.used.size(); ++i) {
+    if (prov.used[i] == 0) continue;
+    if (i < n) {
+      cone.lits.push_back(rec.lits[i]);
+    } else {
+      cone.ctx.push_back(rec.ctx[i - n]);
+    }
   }
-  key += '|';
-  sorted = rec.ctx;
-  std::sort(sorted.begin(), sorted.end());
-  for (const Lit l : sorted) {
-    key += std::to_string(l);
-    key += ',';
-  }
-  return key;
+  if (cone.lits.size() + cone.ctx.size() == prov.used.size()) return full;
+  cone.body = certify(sh, cone.lits, cone.ctx, nullptr);
+  if (cone.body.empty()) return full;
+  return cone;
+}
+
+// The lemma cache key of a logged lemma (see LemmaCache).
+void lemma_key(const ProofRecord& rec, std::vector<Lit>& key) {
+  key.assign(rec.lits.begin(), rec.lits.end());
+  std::sort(key.begin(), key.end());
+  key.push_back(-1);
+  const auto ctx_begin = static_cast<std::ptrdiff_t>(key.size());
+  key.insert(key.end(), rec.ctx.begin(), rec.ctx.end());
+  std::sort(key.begin() + ctx_begin, key.end());
 }
 
 void write_clause(std::ostringstream& out, const char* head,
@@ -370,9 +487,8 @@ void write_clause(std::ostringstream& out, const char* head,
 
 }  // namespace
 
-Certificate build_certificate(
-    const CertificateInputs& in,
-    std::unordered_map<std::string, std::string>& lemma_cache) {
+Certificate build_certificate(const CertificateInputs& in,
+                              LemmaCache& lemma_cache) {
   const util::Stopwatch sw;
   Certificate cert;
   cert.mode = "native";
@@ -413,6 +529,7 @@ Certificate build_certificate(
   bool complete = !in.attached_mid_session;
   std::string reason =
       in.attached_mid_session ? "proof sink attached mid-session" : "";
+  std::vector<Lit> key;
   for (const ProofRecord& rec : *in.trace) {
     switch (rec.kind) {
       case ProofRecord::Kind::kRup:
@@ -422,21 +539,22 @@ Certificate build_certificate(
         write_clause(out, "del", rec.lits);
         break;
       case ProofRecord::Kind::kLemma: {
-        write_clause(out, "lem", rec.lits);
-        if (!rec.ctx.empty()) write_clause(out, "ctx", rec.ctx);
-        const std::string key = lemma_key(rec);
+        lemma_key(rec, key);
         auto it = lemma_cache.find(key);
         if (it == lemma_cache.end()) {
           it = lemma_cache.emplace(key, certify_lemma(sh, rec)).first;
         }
-        if (it->second.empty()) {
+        const CertifiedLemma& lem = it->second;
+        write_clause(out, "lem", lem.lits);
+        if (!lem.ctx.empty()) write_clause(out, "ctx", lem.ctx);
+        if (lem.body.empty()) {
           out << "unproven\n";
           if (complete) {
             complete = false;
             reason = "uncertified theory lemma";
           }
         } else {
-          out << it->second;
+          out << lem.body;
         }
         out << "end\n";
         break;

@@ -12,14 +12,16 @@
 // At an Unsat check boundary NativeSolver serializes the trace into a
 // Certificate (grammar in docs/PROOFS.md): the translated problem clauses
 // and theory-atom table, this check's assumption units, the stamped
-// rup/lem/del trace — each theory lemma carrying an inline branch-and-cut
-// proof (Farkas combinations, Chvátal–Gomory interval tightening, single-
-// variable splits, disequality steps) produced here by re-deriving the
-// lemma's integer infeasibility with the exact rational simplex — and a
-// closing `qed`. tools/proof_check.cpp validates the result with zero
-// dependencies on solver code.
+// rup/lem/del trace — each theory lemma trimmed to the premises its proof
+// uses and carrying an inline branch-and-cut proof (Farkas combinations,
+// Chvátal–Gomory interval tightening, single-variable splits, disequality
+// steps) produced here by re-deriving the lemma's integer infeasibility
+// with the exact rational simplex — and a closing `qed`.
+// tools/proof_check.cpp validates the result with zero dependencies on
+// solver code.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -33,6 +35,20 @@
 #include "smt/solver.hpp"
 
 namespace advocat::smt::native {
+
+/// Hash of a literal sequence. Keys of the lemma dedup set and the lemma
+/// cache; the containers compare full sequences when hashes match, so a
+/// collision never merges two distinct lemmas.
+struct LitSpanHash {
+  std::size_t operator()(const std::vector<Lit>& lits) const noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ lits.size();
+    for (const Lit l : lits) {
+      h = (h ^ static_cast<std::uint32_t>(l)) * 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
 
 /// One entry of the session proof trace.
 struct ProofRecord {
@@ -77,15 +93,9 @@ class ProofLog {
   /// times per check).
   void log_lemma(const Lit* lits, std::size_t n, const Lit* ctx,
                  std::size_t nctx) {
-    std::string key;
-    key.reserve(8 * n);
-    std::vector<Lit> sorted(lits, lits + n);
-    std::sort(sorted.begin(), sorted.end());
-    for (const Lit l : sorted) {
-      key += std::to_string(l);
-      key += ',';
-    }
-    if (!lemma_seen_.insert(key).second) return;
+    sorted_.assign(lits, lits + n);
+    std::sort(sorted_.begin(), sorted_.end());
+    if (!lemma_seen_.insert(sorted_).second) return;
     ProofRecord r;
     r.kind = ProofRecord::Kind::kLemma;
     r.stamp = stamp_->fetch_add(1, std::memory_order_relaxed);
@@ -114,7 +124,8 @@ class ProofLog {
  private:
   std::atomic<std::uint64_t>* stamp_;
   std::vector<ProofRecord> records_;
-  std::unordered_set<std::string> lemma_seen_;
+  std::vector<Lit> sorted_;  // scratch: the lemma being deduplicated
+  std::unordered_set<std::vector<Lit>, LitSpanHash> lemma_seen_;
 };
 
 /// Everything build_certificate needs from the solver session.
@@ -135,13 +146,28 @@ struct CertificateInputs {
   bool attached_mid_session = false;
 };
 
-/// Serializes (and theory-certifies) one Unsat check. `lemma_cache` maps a
-/// lemma's literal key to its certified proof body across calls — sizing
-/// sessions re-certify the same session trace once per Unsat probe, and
-/// the expensive branch-and-cut re-derivation is per-lemma cacheable.
-Certificate build_certificate(
-    const CertificateInputs& in,
-    std::unordered_map<std::string, std::string>& lemma_cache);
+/// A theory lemma as certificates carry it: the premises its proof uses
+/// (a subset of the logged clause and context) and the proof body over
+/// them ("" when the lemma could not be certified; the literals are then
+/// the logged ones).
+struct CertifiedLemma {
+  std::vector<Lit> lits;
+  std::vector<Lit> ctx;
+  std::string body;
+};
+
+/// Certified lemmas of a session, keyed by the logged lemma's sorted
+/// clause literals, a -1 separator, and its sorted context literals.
+/// Sizing sessions re-certify the same session trace once per Unsat
+/// probe, and the expensive branch-and-cut re-derivation is per-lemma
+/// cacheable.
+using LemmaCache =
+    std::unordered_map<std::vector<Lit>, CertifiedLemma, LitSpanHash>;
+
+/// Serializes (and theory-certifies) one Unsat check, reusing and
+/// extending `lemma_cache`.
+Certificate build_certificate(const CertificateInputs& in,
+                              LemmaCache& lemma_cache);
 
 /// Writes every certificate to `dir/proof_<n>.proof` (numbered in arrival
 /// order). Used by the bench harness and the CI certification step;

@@ -7,10 +7,15 @@
 // trust anchor of the whole proof pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "advocat/verifier.hpp"
 #include "backend_fixture.hpp"
+#include "coherence/mi_abstract.hpp"
 #include "proof_check.hpp"
 #include "smt/expr.hpp"
 #include "smt/simplex_theory.hpp"
@@ -230,6 +235,194 @@ TEST(ProofCertificate, ParallelUnsatCertified) {
     EXPECT_TRUE(r.ok) << "threads=" << threads << ": " << r.reason << ": "
                       << r.detail;
   }
+}
+
+// Certificate volume of a fixed certified sizing run: the sequential
+// incremental ladder on the fig. 4 3x3 mesh, directory d3 (minimal
+// capacity 5), is deterministic, so its total certificate bytes are a
+// stable figure. Lemmas carrying every level-0 atom and every clause
+// literal made its 2 certificates 1,941,777 bytes; trimmed to the
+// premises their proofs use they are 464,869 bytes. The pin is half the
+// untrimmed volume.
+TEST(ProofVolume, CertifiedSizingBytesAtMostHalfOfUntrimmed) {
+  struct TotalSink : ProofSink {
+    void on_unsat_certificate(const Certificate& cert) override {
+      ++certs;
+      bytes += cert.proof_bytes;
+      const CheckResult r = check_proof_text(cert.text);
+      accepted += r.ok && cert.complete ? 1 : 0;
+    }
+    std::size_t certs = 0;
+    std::size_t bytes = 0;
+    std::size_t accepted = 0;
+  } sink;
+  core::QueueSizingOptions o;
+  o.min_capacity = 1;
+  o.max_capacity = 256;
+  o.incremental = true;
+  o.probe_threads = 1;
+  o.verify.backend = Backend::Native;
+  o.verify.threads = 1;
+  o.verify.deterministic = true;
+  o.verify.proof_sink = &sink;
+  const core::QueueSizingResult r = core::find_minimal_queue_size(
+      [](std::size_t cap) {
+        coh::MiAbstractConfig config;
+        config.width = 3;
+        config.height = 3;
+        config.directory_node = 3;
+        config.queue_capacity = cap;
+        return std::move(coh::build_mi_abstract(config).net);
+      },
+      o);
+  ASSERT_EQ(r.minimal_capacity, 5u);
+  ASSERT_GT(sink.certs, 0u);
+  EXPECT_EQ(sink.accepted, sink.certs);
+  EXPECT_LE(sink.bytes, 1'941'777u / 2);
+}
+
+// ------------------------------------------------ trimmed lemma shapes
+// Every lemma is certified from only the premises its proof uses. These
+// instances force the two body shapes the fig. 4 workloads never produce
+// — an integer split and a simplex Farkas combination over premise rows —
+// next to a decoy 3 ≤ z ≤ 7 asserted at level 0, which every full lemma
+// context would carry and no trimmed lemma may.
+
+/// One certificate lemma: its premise literals (`lem` and `ctx`) and its
+/// proof body lines.
+struct LemmaBlock {
+  std::vector<long long> lits;
+  std::vector<std::string> body;
+};
+
+std::vector<LemmaBlock> lemma_blocks(const std::string& text) {
+  std::vector<LemmaBlock> blocks;
+  std::istringstream in(text);
+  std::string line;
+  bool inside = false;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::string head;
+    ls >> head;
+    if (head == "lem") {
+      blocks.emplace_back();
+      inside = true;
+    }
+    if (!inside) continue;
+    if (head == "lem" || head == "ctx") {
+      for (long long l = 0; ls >> l && l != 0;) blocks.back().lits.push_back(l);
+    } else if (head == "end") {
+      inside = false;
+    } else {
+      blocks.back().body.push_back(line);
+    }
+  }
+  return blocks;
+}
+
+/// Boolean variables (as certificate literals) of the atoms over the
+/// integer variable bounded above by `hi` in a single-term atom.
+std::vector<long long> atoms_over_var_bounded_by(const std::string& text,
+                                                 int hi) {
+  std::vector<std::pair<long long, std::vector<long long>>> atoms;
+  long long var = -1;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::string head, kind;
+    long long b = 0, bound = 0, k = 0;
+    if (!(ls >> head) || head != "atom") continue;
+    ls >> b >> kind >> bound >> k;
+    std::vector<long long> vars;
+    long long v = 0, c = 0;
+    while (ls >> v >> c) vars.push_back(v);
+    if (kind == "le" && bound == hi && k == 1 && c == 1) var = vars[0];
+    atoms.emplace_back(b, vars);
+  }
+  std::vector<long long> out;
+  for (const auto& [b, vars] : atoms) {
+    if (std::find(vars.begin(), vars.end(), var) != vars.end()) {
+      out.push_back(b);
+    }
+  }
+  return out;
+}
+
+void assert_decoy(ExprFactory& f, Solver& s) {
+  const ExprId z = f.int_var("z");
+  s.add(f.le(f.int_const(3), z));
+  s.add(f.le(z, f.int_const(7)));
+}
+
+/// The lemmas of `text` whose body has a line starting with `step`; each
+/// must leave out the decoy's atoms.
+std::size_t trimmed_lemmas_with(const std::string& text,
+                                const std::string& step) {
+  const std::vector<long long> decoy = atoms_over_var_bounded_by(text, 7);
+  EXPECT_EQ(decoy.size(), 2u);
+  std::size_t found = 0;
+  for (const LemmaBlock& lem : lemma_blocks(text)) {
+    const bool has = std::any_of(
+        lem.body.begin(), lem.body.end(),
+        [&](const std::string& l) { return l.rfind(step, 0) == 0; });
+    if (!has) continue;
+    ++found;
+    for (const long long l : lem.lits) {
+      EXPECT_EQ(std::count(decoy.begin(), decoy.end(), std::llabs(l)), 0)
+          << "lemma keeps decoy literal " << l;
+    }
+  }
+  return found;
+}
+
+TEST(ProofShapes, SplitLemmaTrimmedAndAccepted) {
+  ExprFactory f;
+  auto s = make_solver(f, Backend::Native);
+  CaptureSink sink;
+  s->set_proof_sink(&sink);
+  assert_decoy(f, *s);
+  // x + y = 1 ∧ x = y over 0 ≤ x, y ≤ 1: 2x = 1 is rationally feasible at
+  // x = y = 1/2, and interval tightening alone never crosses, so the
+  // proof must split x ≤ 0 ∨ x ≥ 1.
+  const ExprId x = f.int_var("x");
+  const ExprId y = f.int_var("y");
+  for (const ExprId v : {x, y}) {
+    s->add(f.le(f.int_const(0), v));
+    s->add(f.le(v, f.int_const(1)));
+  }
+  s->add(f.eq(f.add({x, y}), f.int_const(1)));
+  s->add(f.eq(x, y));
+  ASSERT_EQ(s->check(), SatResult::Unsat);
+  ASSERT_EQ(sink.certs.size(), 1u);
+  const Certificate& cert = sink.certs[0];
+  EXPECT_TRUE(cert.complete) << cert.reason;
+  const CheckResult r = check_proof_text(cert.text);
+  EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+  EXPECT_EQ(trimmed_lemmas_with(cert.text, "s "), 1u) << cert.text;
+  EXPECT_NE(cert.text.find("\nalt\n"), std::string::npos);
+  EXPECT_NE(cert.text.find("\njoin\n"), std::string::npos);
+}
+
+TEST(ProofShapes, FarkasLemmaTrimmedAndAccepted) {
+  ExprFactory f;
+  auto s = make_solver(f, Backend::Native);
+  CaptureSink sink;
+  s->set_proof_sink(&sink);
+  assert_decoy(f, *s);
+  // x < y ∧ y < x over unbounded x, y: tightening derives nothing, and the
+  // simplex refutes the two premise rows with multipliers 1 and 1.
+  const ExprId x = f.int_var("x");
+  const ExprId y = f.int_var("y");
+  s->add(f.le(f.add({x, f.int_const(1)}), y));
+  s->add(f.le(f.add({y, f.int_const(1)}), x));
+  ASSERT_EQ(s->check(), SatResult::Unsat);
+  ASSERT_EQ(sink.certs.size(), 1u);
+  const Certificate& cert = sink.certs[0];
+  EXPECT_TRUE(cert.complete) << cert.reason;
+  const CheckResult r = check_proof_text(cert.text);
+  EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+  EXPECT_EQ(trimmed_lemmas_with(cert.text, "f 2 p"), 1u) << cert.text;
 }
 
 // ------------------------------------------------------- mutation tests
