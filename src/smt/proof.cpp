@@ -377,15 +377,13 @@ bool Certifier::branch(CertState st, std::ostringstream& out, int depth) {
 }
 
 // Extracts the premise system of a lemma clause: the negation of each
-// clause literal plus each ctx literal, mapped through the atom table.
-// Returns false when some literal is not a theory atom (cannot occur for
-// the logged lemma sources; defensive).
+// clause literal, mapped through the atom table. Returns false when some
+// literal is not a theory atom (cannot occur for the logged lemma
+// sources; defensive).
 bool lemma_premises(const SharedProblem& sh, const std::vector<Lit>& lits,
-                    const std::vector<Lit>& ctx, std::vector<Ineq>& rows,
-                    std::vector<Diseq>& diseqs) {
-  const std::size_t n = lits.size();
-  for (std::size_t i = 0; i < n + ctx.size(); ++i) {
-    const Lit pl = i < n ? neg(lits[i]) : ctx[i - n];
+                    std::vector<Ineq>& rows, std::vector<Diseq>& diseqs) {
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    const Lit pl = neg(lits[i]);
     const int v = var_of(pl);
     if (v < 0 || v >= sh.num_bvars) return false;
     const int ai = sh.atom_of_var[static_cast<std::size_t>(v)];
@@ -422,15 +420,15 @@ bool lemma_premises(const SharedProblem& sh, const std::vector<Lit>& lits,
   return true;
 }
 
-// Proves the premise system of clause `lits` under `ctx` infeasible;
-// returns the proof body ("" on failure). With `prov`, also marks in
-// prov->used (indexed like the premises) the premises the body uses.
+// Proves the premise system of clause `lits` infeasible; returns the
+// proof body ("" on failure). With `prov`, also marks in prov->used
+// (indexed like the clause literals) the premises the body uses.
 std::string certify(const SharedProblem& sh, const std::vector<Lit>& lits,
-                    const std::vector<Lit>& ctx, Provenance* prov) {
+                    Provenance* prov) {
   std::vector<Ineq> rows;
   std::vector<Diseq> diseqs;
-  if (!lemma_premises(sh, lits, ctx, rows, diseqs)) return "";
-  if (prov != nullptr) prov->used.assign(lits.size() + ctx.size(), 0);
+  if (!lemma_premises(sh, lits, rows, diseqs)) return "";
+  if (prov != nullptr) prov->used.assign(lits.size(), 0);
   CertState st;
   st.lo.resize(sh.int_names.size());
   st.hi.resize(sh.int_names.size());
@@ -448,34 +446,18 @@ std::string certify(const SharedProblem& sh, const std::vector<Lit>& lits,
 // later RUP step still checks. Falls back to the full lemma if the trimmed
 // one does not certify.
 CertifiedLemma certify_lemma(const SharedProblem& sh, const ProofRecord& rec) {
-  CertifiedLemma full{rec.lits, rec.ctx, ""};
+  CertifiedLemma full{rec.lits, ""};
   Provenance prov;
-  full.body = certify(sh, rec.lits, rec.ctx, &prov);
+  full.body = certify(sh, rec.lits, &prov);
   if (full.body.empty()) return full;
   CertifiedLemma cone;
-  const std::size_t n = rec.lits.size();
   for (std::size_t i = 0; i < prov.used.size(); ++i) {
-    if (prov.used[i] == 0) continue;
-    if (i < n) {
-      cone.lits.push_back(rec.lits[i]);
-    } else {
-      cone.ctx.push_back(rec.ctx[i - n]);
-    }
+    if (prov.used[i] != 0) cone.lits.push_back(rec.lits[i]);
   }
-  if (cone.lits.size() + cone.ctx.size() == prov.used.size()) return full;
-  cone.body = certify(sh, cone.lits, cone.ctx, nullptr);
+  if (cone.lits.size() == rec.lits.size()) return full;
+  cone.body = certify(sh, cone.lits, nullptr);
   if (cone.body.empty()) return full;
   return cone;
-}
-
-// The lemma cache key of a logged lemma (see LemmaCache).
-void lemma_key(const ProofRecord& rec, std::vector<Lit>& key) {
-  key.assign(rec.lits.begin(), rec.lits.end());
-  std::sort(key.begin(), key.end());
-  key.push_back(-1);
-  const auto ctx_begin = static_cast<std::ptrdiff_t>(key.size());
-  key.insert(key.end(), rec.ctx.begin(), rec.ctx.end());
-  std::sort(key.begin() + ctx_begin, key.end());
 }
 
 void write_clause(std::ostringstream& out, const char* head,
@@ -539,14 +521,14 @@ Certificate build_certificate(const CertificateInputs& in,
         write_clause(out, "del", rec.lits);
         break;
       case ProofRecord::Kind::kLemma: {
-        lemma_key(rec, key);
+        key.assign(rec.lits.begin(), rec.lits.end());
+        std::sort(key.begin(), key.end());
         auto it = lemma_cache.find(key);
         if (it == lemma_cache.end()) {
           it = lemma_cache.emplace(key, certify_lemma(sh, rec)).first;
         }
         const CertifiedLemma& lem = it->second;
         write_clause(out, "lem", lem.lits);
-        if (!lem.ctx.empty()) write_clause(out, "ctx", lem.ctx);
         if (lem.body.empty()) {
           out << "unproven\n";
           if (complete) {

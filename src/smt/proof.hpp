@@ -3,8 +3,8 @@
 // While a ProofSink is installed, every SearchContext appends ProofRecords
 // to a ProofLog as it learns: non-tainted learned clauses (RUP steps),
 // theory lemmas (the implicit reason clauses of theory propagations,
-// theory-conflict clauses, and leaf blocking clauses), and clause
-// deletions. Records carry globally ordered stamps from one atomic counter
+// theory-conflict clauses, and the atoms each refuted leaf's search
+// read), and clause deletions. Records carry globally ordered stamps from one atomic counter
 // shared by every worker, so the per-worker logs merge into one coherent
 // session trace: a clause is always stamped before any worker that
 // imported it can use it.
@@ -60,13 +60,9 @@ struct ProofRecord {
   };
   Kind kind = Kind::kRup;
   std::uint64_t stamp = 0;  ///< global emission order across all workers
-  std::vector<Lit> lits;    ///< the clause
-  /// kLemma only: atom literals asserted at level 0 when the lemma was
-  /// produced. Leaf blocking clauses and conflict explanations omit
-  /// level-0 literals (they are permanent), so the lemma clause alone
-  /// need not be theory-valid — the checker re-derives each ctx literal
-  /// by unit propagation and adds it to the lemma's premise set.
-  std::vector<Lit> ctx;
+  /// The clause. A kLemma clause is theory-valid on its own: the negated
+  /// atoms the solver's derivation read, level-0 ones included.
+  std::vector<Lit> lits;
 };
 
 /// Per-context proof log. Near-zero overhead: SearchContext holds a
@@ -88,19 +84,16 @@ class ProofLog {
     return records_.back().stamp;
   }
 
-  /// Logs a theory lemma with its level-0 atom context; deduplicated by
-  /// literal set (theory propagations re-derive the same implication many
-  /// times per check).
-  void log_lemma(const Lit* lits, std::size_t n, const Lit* ctx,
-                 std::size_t nctx) {
-    sorted_.assign(lits, lits + n);
+  /// Logs a theory lemma; deduplicated by literal set (theory
+  /// propagations re-derive the same implication many times per check).
+  void log_lemma(const std::vector<Lit>& lits) {
+    sorted_.assign(lits.begin(), lits.end());
     std::sort(sorted_.begin(), sorted_.end());
     if (!lemma_seen_.insert(sorted_).second) return;
     ProofRecord r;
     r.kind = ProofRecord::Kind::kLemma;
     r.stamp = stamp_->fetch_add(1, std::memory_order_relaxed);
-    r.lits.assign(lits, lits + n);
-    r.ctx.assign(ctx, ctx + nctx);
+    r.lits = lits;
     records_.push_back(std::move(r));
   }
 
@@ -147,20 +140,18 @@ struct CertificateInputs {
 };
 
 /// A theory lemma as certificates carry it: the premises its proof uses
-/// (a subset of the logged clause and context) and the proof body over
-/// them ("" when the lemma could not be certified; the literals are then
-/// the logged ones).
+/// (a subset of the logged clause) and the proof body over them ("" when
+/// the lemma could not be certified; the literals are then the logged
+/// ones).
 struct CertifiedLemma {
   std::vector<Lit> lits;
-  std::vector<Lit> ctx;
   std::string body;
 };
 
 /// Certified lemmas of a session, keyed by the logged lemma's sorted
-/// clause literals, a -1 separator, and its sorted context literals.
-/// Sizing sessions re-certify the same session trace once per Unsat
-/// probe, and the expensive branch-and-cut re-derivation is per-lemma
-/// cacheable.
+/// clause literals. Sizing sessions re-certify the same session trace
+/// once per Unsat probe, and the expensive branch-and-cut re-derivation
+/// is per-lemma cacheable.
 using LemmaCache =
     std::unordered_map<std::vector<Lit>, CertifiedLemma, LitSpanHash>;
 

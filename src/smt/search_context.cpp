@@ -671,7 +671,7 @@ bool SearchContext::propagate_entailed_atoms() {
           lemma_scratch_.assign(1, mk_lit(v, entailed < 0));
           lemma_scratch_.insert(lemma_scratch_.end(), expl_scratch_.begin(),
                                 expl_scratch_.end());
-          log_theory_lemma(lemma_scratch_);
+          plog_->log_lemma(lemma_scratch_);
         }
         const bool ok = enqueue(mk_lit(v, entailed < 0), kReasonTheory);
         (void)ok;  // the variable was unassigned
@@ -893,26 +893,6 @@ void SearchContext::collect_theory_lits(bool with_diseqs, std::size_t limit,
     const bool diseq = a.is_eq && !tv;
     if (activates || (with_diseqs && diseq)) out.push_back(neg(l));
   }
-}
-
-// Records a theory-valid clause in the proof trace. The recorded context
-// is every atom literal asserted at level 0 right now: leaf blocking
-// clauses (collect_theory_lits) skip level-0 literals as permanent, so
-// the clause alone need not be theory-valid — the checker re-derives each
-// context literal by unit propagation and adds it to the premise set.
-void SearchContext::log_theory_lemma(const std::vector<Lit>& clause) {
-  if (plog_ == nullptr) return;
-  proof_scratch_.clear();
-  const std::size_t l0 =
-      levels_.empty() ? trail_.size() : levels_.front().trail;
-  for (std::size_t i = 0; i < l0; ++i) {
-    const int v = var_of(trail_[i]);
-    if (sh_.atom_of_var[static_cast<std::size_t>(v)] >= 0) {
-      proof_scratch_.push_back(trail_[i]);
-    }
-  }
-  plog_->log_lemma(clause.data(), clause.size(), proof_scratch_.data(),
-                   proof_scratch_.size());
 }
 
 // First-UIP conflict analysis; see the pre-split solver for the full
@@ -1360,7 +1340,7 @@ bool SearchContext::pins_contain(const std::vector<int>& pins, int v) {
 void SearchContext::seed_row_conflict() {
   const int now = static_cast<int>(blog_.size());
   if (conflict_row_ >= 0) {
-    expl_seed_row(conflict_row_, now, nullptr);
+    expl_seed_row(conflict_row_, now, leaf_atoms_out());
   } else {
     for (const bool hi : {false, true}) {
       const int e = entry_before(bnode(conflict_var_, hi), now);
@@ -1408,7 +1388,11 @@ SatResult SearchContext::int_branch(const std::vector<int>& branch_vars,
             if (e >= 0) expl_push(e);
           }
         }
-        expl_run(nullptr, &conflict_pins);
+        expl_run(leaf_atoms_out(), &conflict_pins);
+        if (plog_ != nullptr) {
+          leaf_atoms_.push_back(
+              mk_lit(sh_.atom_var[static_cast<std::size_t>(ai)], false));
+        }
         return SatResult::Unsat;
       }
     }
@@ -1477,12 +1461,18 @@ SatResult SearchContext::int_branch(const std::vector<int>& branch_vars,
           const int pv = pin_trail_[static_cast<std::size_t>(pi)].var;
           if (!pins_contain(value_pins, pv)) value_pins.push_back(pv);
         }
+        if (plog_ != nullptr) {
+          for (const int ri : sconf_rows_) {
+            leaf_atoms_.push_back(
+                neg(active_row_lit_[static_cast<std::size_t>(ri)]));
+          }
+        }
         sconf_rows_.clear();
         sconf_pins_.clear();
       } else {
         expl_begin();
         seed_row_conflict();
-        expl_run(nullptr, &value_pins);
+        expl_run(leaf_atoms_out(), &value_pins);
       }
       refuted = true;
     } else {
@@ -1526,7 +1516,7 @@ SatResult SearchContext::int_branch(const std::vector<int>& branch_vars,
     const int e = entry_before(bnode(best, hi), now);
     if (e >= 0) expl_push(e);
   }
-  expl_run(nullptr, &conflict_pins);
+  expl_run(leaf_atoms_out(), &conflict_pins);
   return SatResult::Unsat;
 }
 
@@ -1827,7 +1817,7 @@ Outcome SearchContext::run_check() {
           }
           expl_run(&theory_conflict_, nullptr);
         }
-        if (plog_ != nullptr) log_theory_lemma(theory_conflict_);
+        if (plog_ != nullptr) plog_->log_lemma(theory_conflict_);
       }
       const bool is_clause = confl.kind == Conflict::kClause;
       const Lit* lits = is_clause ? arena_.lits(confl.ci)
@@ -1877,6 +1867,7 @@ Outcome SearchContext::run_check() {
     }
     // Full boolean assignment: complete (or refute) the integer domains;
     // a degraded leaf gets the exact simplex as a second opinion.
+    if (plog_ != nullptr) leaf_atoms_.clear();
     SatResult leaf = int_complete();
     if (leaf == SatResult::Unknown) leaf = simplex_rescue();
     if (leaf == SatResult::Sat) return Outcome::Sat;
@@ -1888,15 +1879,27 @@ Outcome SearchContext::run_check() {
     // everything learned after it) is tainted and the final Unsat
     // degrades to Unknown.
     theory_conflict_.clear();
-    if (!sconf_rows_.empty() || !sconf_pins_.empty()) {
+    const bool farkas = !sconf_rows_.empty() || !sconf_pins_.empty();
+    if (farkas) {
       emit_simplex_conflict();
     } else {
       collect_theory_lits(true, trail_.size(), theory_conflict_);
     }
     if (plog_ != nullptr && leaf == SatResult::Unsat) {
-      // Only a refuted leaf's blocking clause is theory-entailed; an
-      // Unknown leaf's clause is a search heuristic and taints the run.
-      log_theory_lemma(theory_conflict_);
+      // Only a refuted leaf is theory-entailed; an Unknown leaf's clause
+      // is a search heuristic and taints the run. The logged lemma is the
+      // premise set the refutation read — the Farkas atoms, or the row
+      // and disequality atoms the leaf search's walks collected, level-0
+      // ones included — not the blocking clause, which omits level-0
+      // atoms as permanent.
+      if (farkas) {
+        plog_->log_lemma(theory_conflict_);
+      } else {
+        std::sort(leaf_atoms_.begin(), leaf_atoms_.end());
+        leaf_atoms_.erase(std::unique(leaf_atoms_.begin(), leaf_atoms_.end()),
+                          leaf_atoms_.end());
+        plog_->log_lemma(leaf_atoms_);
+      }
     }
     if (!resolve_conflict(theory_conflict_.data(), theory_conflict_.size(),
                           -1)) {

@@ -295,10 +295,6 @@ class SearchContext {
   void analyze_final(Lit p, int p_at);
   bool resolve_conflict(const Lit* conflict, std::size_t nconf, ClauseRef ci);
   void export_learnt(int lbd, std::uint64_t proof_stamp);
-  // Records `clause` as a theory lemma (with the level-0 atom context in
-  // force, which leaf blocking clauses omit as permanent). No-op while no
-  // proof log is attached.
-  void log_theory_lemma(const std::vector<Lit>& clause);
   void import_clauses();
   void maybe_restart_or_reduce();
   void reduce_db();
@@ -307,6 +303,11 @@ class SearchContext {
   // ---------------------------------------------------------- leaf search
   void capture_model();
   static bool pins_contain(const std::vector<int>& pins, int v);
+  // Where the leaf search's explanation walks put the row atoms they
+  // read: leaf_atoms_ while a proof log is attached, nowhere otherwise.
+  std::vector<Lit>* leaf_atoms_out() {
+    return plog_ != nullptr ? &leaf_atoms_ : nullptr;
+  }
   void seed_row_conflict();
   SatResult int_branch(const std::vector<int>& branch_vars,
                        std::vector<int>& conflict_pins);
@@ -387,8 +388,8 @@ class SearchContext {
   std::vector<Lit> theory_conflict_;
   std::vector<int> lbd_levels_;
   ProofLog* plog_ = nullptr;        // proof trace, nullptr = logging off
-  std::vector<Lit> proof_scratch_;  // level-0 ctx assembly scratch
   std::vector<Lit> lemma_scratch_;  // lemma-clause assembly scratch
+  std::vector<Lit> leaf_atoms_;     // premises of the leaf's refutation
   std::vector<int> reduce_order_;
   // Provenance-explanation machinery (see the .cpp section comment).
   struct BoundLog {

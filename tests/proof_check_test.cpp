@@ -242,8 +242,9 @@ TEST(ProofCertificate, ParallelUnsatCertified) {
 // capacity 5), is deterministic, so its total certificate bytes are a
 // stable figure. Lemmas carrying every level-0 atom and every clause
 // literal made its 2 certificates 1,941,777 bytes; trimmed to the
-// premises their proofs use they are 464,869 bytes. The pin is half the
-// untrimmed volume.
+// premises their proofs use they were 464,869 bytes, and logged as the
+// premises the solver's derivations read they are smaller still. No
+// lemma needs a `ctx` line: every logged lemma is theory-valid alone.
 TEST(ProofVolume, CertifiedSizingBytesAtMostHalfOfUntrimmed) {
   struct TotalSink : ProofSink {
     void on_unsat_certificate(const Certificate& cert) override {
@@ -251,10 +252,12 @@ TEST(ProofVolume, CertifiedSizingBytesAtMostHalfOfUntrimmed) {
       bytes += cert.proof_bytes;
       const CheckResult r = check_proof_text(cert.text);
       accepted += r.ok && cert.complete ? 1 : 0;
+      with_ctx += cert.text.find("\nctx ") != std::string::npos ? 1 : 0;
     }
     std::size_t certs = 0;
     std::size_t bytes = 0;
     std::size_t accepted = 0;
+    std::size_t with_ctx = 0;
   } sink;
   core::QueueSizingOptions o;
   o.min_capacity = 1;
@@ -278,7 +281,8 @@ TEST(ProofVolume, CertifiedSizingBytesAtMostHalfOfUntrimmed) {
   ASSERT_EQ(r.minimal_capacity, 5u);
   ASSERT_GT(sink.certs, 0u);
   EXPECT_EQ(sink.accepted, sink.certs);
-  EXPECT_LE(sink.bytes, 1'941'777u / 2);
+  EXPECT_EQ(sink.with_ctx, 0u);
+  EXPECT_LE(sink.bytes, 464'869u);
 }
 
 // ------------------------------------------------ trimmed lemma shapes
@@ -288,8 +292,8 @@ TEST(ProofVolume, CertifiedSizingBytesAtMostHalfOfUntrimmed) {
 // next to a decoy 3 ≤ z ≤ 7 asserted at level 0, which every full lemma
 // context would carry and no trimmed lemma may.
 
-/// One certificate lemma: its premise literals (`lem` and `ctx`) and its
-/// proof body lines.
+/// One certificate lemma: its premise literals (`lem`, and `ctx` where a
+/// hand-built certificate has one) and its proof body lines.
 struct LemmaBlock {
   std::vector<long long> lits;
   std::vector<std::string> body;
@@ -425,6 +429,37 @@ TEST(ProofShapes, FarkasLemmaTrimmedAndAccepted) {
   EXPECT_EQ(trimmed_lemmas_with(cert.text, "f 2 p"), 1u) << cert.text;
 }
 
+TEST(ProofShapes, LeafLemmaSeededFromRefutation) {
+  ExprFactory f;
+  auto s = make_solver(f, Backend::Native);
+  CaptureSink sink;
+  s->set_proof_sink(&sink);
+  assert_decoy(f, *s);
+  // x + y = 3 ∧ x = y over 0 ≤ x, y ≤ 3: interval propagation derives
+  // nothing, so only the leaf search's enumeration of x refutes it. Every
+  // atom is asserted at level 0, where the search's blocking clause keeps
+  // none of them; the logged lemma is the atoms the refutation read.
+  const ExprId x = f.int_var("x");
+  const ExprId y = f.int_var("y");
+  for (const ExprId v : {x, y}) {
+    s->add(f.le(f.int_const(0), v));
+    s->add(f.le(v, f.int_const(3)));
+  }
+  s->add(f.eq(f.add({x, y}), f.int_const(3)));
+  s->add(f.eq(x, y));
+  ASSERT_EQ(s->check(), SatResult::Unsat);
+  ASSERT_EQ(sink.certs.size(), 1u);
+  const Certificate& cert = sink.certs[0];
+  EXPECT_TRUE(cert.complete) << cert.reason;
+  const CheckResult r = check_proof_text(cert.text);
+  EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+  EXPECT_EQ(cert.text.find("\nctx "), std::string::npos) << cert.text;
+  EXPECT_EQ(trimmed_lemmas_with(cert.text, "s "), 1u) << cert.text;
+  for (const LemmaBlock& lem : lemma_blocks(cert.text)) {
+    EXPECT_FALSE(lem.lits.empty()) << cert.text;
+  }
+}
+
 // ------------------------------------------------------- mutation tests
 // Every certificate ingredient, corrupted one at a time, must be caught
 // and named. The base certificate is a real solver artifact, not a
@@ -539,11 +574,74 @@ TEST(ProofMutation, GarbageHeaderRejected) {
   EXPECT_EQ(r.reason, "bad-header");
 }
 
+// A one-atom certificate whose atom line is `atom` verbatim: malformed
+// coefficient shapes must be parse errors, not an exception escaping the
+// checker's tightening (a zero coefficient divides by zero there).
+std::string one_atom_certificate(const std::string& atom) {
+  return "advocat-proof 1\nmode native\nnvars 1\nnints 2\n" + atom +
+         "\nlem 1 0\nf 2 lo0 1 1 hi0 1 1\nend\nqed\n";
+}
+
+TEST(ProofMutation, ZeroAtomCoefficientRejected) {
+  const CheckResult r =
+      check_proof_text(one_atom_certificate("atom 1 le 0 1 0 0"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "parse-error") << r.detail;
+}
+
+TEST(ProofMutation, MinInt64AtomCoefficientRejected) {
+  const CheckResult r = check_proof_text(
+      one_atom_certificate("atom 1 le 0 1 0 -9223372036854775808"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "parse-error") << r.detail;
+}
+
+TEST(ProofMutation, RepeatedAtomVariableRejected) {
+  const CheckResult r =
+      check_proof_text(one_atom_certificate("atom 1 le 0 3 0 1 1 2 0 -1"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "parse-error") << r.detail;
+}
+
+TEST(ProofMutation, OutOfRangeLiteralRejected) {
+  std::string text = interval_clash_certificate();
+  const std::size_t at = text.find("\nlem ");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + 5, "99999999999999999999999 ");
+  const CheckResult r = check_proof_text(text);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "parse-error") << r.detail;
+}
+
 TEST(ProofMutation, AttestedCertificateAcceptedAsAttested) {
   const CheckResult r =
       check_proof_text("advocat-proof 1\nmode attested z3\nqed\n");
   EXPECT_TRUE(r.ok) << r.reason;
   EXPECT_EQ(r.mode, "attested");
+}
+
+// ------------------------------------------------------ ctx grammar
+// The solver logs every lemma theory-valid on its own and so never emits
+// `ctx`, but the grammar keeps it: a ctx literal joins the lemma's
+// premises once unit propagation over the clauses so far derives it.
+// Atom 1 is x ≤ 2, atom 2 is x ≥ 5; the lemma ¬2 under ctx 1 is valid.
+std::string ctx_certificate(const std::string& inputs) {
+  return "advocat-proof 1\nmode native\nnvars 2\nnints 1\n"
+         "atom 1 le 2 1 0 1\natom 2 le -5 1 0 -1\n" +
+         inputs +
+         "lem -2 0\nctx 1 0\nf 2 lo0 1 1 hi0 1 1\nend\nqed\n";
+}
+
+TEST(ProofGrammar, DerivableCtxAccepted) {
+  const CheckResult r =
+      check_proof_text(ctx_certificate("in 1 0\nin 2 0\n"));
+  EXPECT_TRUE(r.ok) << r.reason << ": " << r.detail;
+}
+
+TEST(ProofGrammar, UnderivedCtxRejected) {
+  const CheckResult r = check_proof_text(ctx_certificate("in 2 0\n"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reason, "ctx-underived") << r.detail;
 }
 
 // ---------------------------------------------- Farkas multiplier surface

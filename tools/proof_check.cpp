@@ -16,10 +16,13 @@
 //     admissible), `dq` disequality closures on fully-pinned forms.
 #include "proof_check.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <unordered_map>
@@ -129,6 +132,14 @@ bool is_int_token(const std::string& s) {
     if (std::isdigit(static_cast<unsigned char>(s[i])) == 0) return false;
   }
   return true;
+}
+
+// Parses a whole token as a long long; false when it is not an integer
+// or does not fit (std::stoll would throw out of the checker).
+bool to_ll(const std::string& s, long long& out) {
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && p == end;
 }
 
 // ---------------------------------------------------- propagation engine
@@ -388,12 +399,12 @@ class Checker {
     std::string tok;
     bool closed = false;
     while (ls >> tok) {
-      if (!is_int_token(tok)) {
+      long long l = 0;
+      if (!to_ll(tok, l)) {
         fail("parse-error", "line " + std::to_string(lineno_) +
                                 ": bad literal '" + tok + "'");
         return false;
       }
-      const long long l = std::stoll(tok);
       if (l == 0) {
         closed = true;
         break;
@@ -428,16 +439,28 @@ class Checker {
     a.present = true;
     a.is_eq = kind == "eq";
     a.bound = bound;
+    // Tightening divides by every coefficient and negates it, and reads
+    // each variable's bound once per term: a zero or INT64_MIN coefficient
+    // or a repeated variable is malformed, not merely useless.
+    std::vector<int> vars;
     for (std::size_t i = 0; i < k; ++i) {
       int v = 0;
       std::int64_t c = 0;
       if (!(ls >> v >> c) || v < 0 ||
-          static_cast<std::size_t>(v) >= nints_) {
+          static_cast<std::size_t>(v) >= nints_ || c == 0 ||
+          c == std::numeric_limits<std::int64_t>::min()) {
         fail("parse-error",
              "line " + std::to_string(lineno_) + ": bad atom term");
         return false;
       }
       a.terms.emplace_back(v, c);
+      vars.push_back(v);
+    }
+    std::sort(vars.begin(), vars.end());
+    if (std::adjacent_find(vars.begin(), vars.end()) != vars.end()) {
+      fail("parse-error",
+           "line " + std::to_string(lineno_) + ": repeated atom variable");
+      return false;
     }
     atoms_[bvar] = std::move(a);
     return true;
@@ -500,9 +523,9 @@ class Checker {
       out = rows[it->second];
       return true;
     }
+    long long v = 0;
     if (ref.size() > 2 && (ref.rfind("lo", 0) == 0 || ref.rfind("hi", 0) == 0)
-        && is_int_token(ref.substr(2))) {
-      const long long v = std::stoll(ref.substr(2));
+        && to_ll(ref.substr(2), v)) {
       if (v >= 0 && static_cast<std::size_t>(v) < nints_) {
         const bool want_lo = ref[0] == 'l';
         const VarBound& b = want_lo ? st.lo[static_cast<std::size_t>(v)]
